@@ -3,6 +3,10 @@
 
 use std::collections::BTreeMap;
 use std::process::Command;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 use alps_core::{AlpsConfig, Nanos};
 use alps_os::{clock, ActuatorMode, OsError, Supervisor};
@@ -150,34 +154,114 @@ pub fn actuators(r: &mut Report) {
     }
 }
 
-/// Host time the speed reference takes on a quiet host of the kind this
-/// benchmark was built on (see README.md).
-const REFERENCE_NOMINAL_NS: f64 = 14e6;
+/// A reference wake-up loop on the calling thread's CPU: a thread that
+/// sleeps until a deadline on the supervisor's cadence, half a period out
+/// of phase with it, then reads `/proc/<pid>/schedstat` of one group's
+/// children and sends each signal 0 — a quantum's wake, read and signal in
+/// miniature, written in this crate so no change to the library moves it.
+/// The CPU cost of one such wake-up tracks the host's speed regime, which
+/// on a shared VM moves the supervisor's cost per quantum by a factor of
+/// three over tens of seconds (see README.md).
+pub struct WakeProbe {
+    stop: Arc<AtomicBool>,
+    thread: Option<JoinHandle<ProbeResult>>,
+}
+
+/// Each wake-up's time and the CPU time of its sleep plus its work.
+type ProbeResult = Result<Vec<(Nanos, Nanos)>, String>;
+
+impl WakeProbe {
+    /// Start waking every `period` at `start + period / 2 + k * period`.
+    /// The thread inherits the caller's CPU affinity.
+    pub fn start(pids: Vec<i32>, start: Nanos, period: Nanos) -> WakeProbe {
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let thread = std::thread::spawn(move || {
+            let mut samples = Vec::new();
+            let mut deadline = start + Nanos(period.0 / 2);
+            while !flag.load(Ordering::Relaxed) {
+                let c0 = thread_cpu();
+                let now = clock::now();
+                if deadline > now {
+                    std::thread::sleep(Duration::from_nanos((deadline - now).0));
+                }
+                for &pid in &pids {
+                    schedstat_ns(pid)?;
+                }
+                for &pid in &pids {
+                    // SAFETY: kill with signal 0 only checks that `pid` exists.
+                    unsafe { libc::kill(pid, 0) };
+                }
+                samples.push((clock::now(), thread_cpu() - c0));
+                deadline += period;
+            }
+            Ok(samples)
+        });
+        WakeProbe {
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    /// Stop the thread and wait for it; returns its samples.
+    pub fn stop(mut self) -> ProbeResult {
+        self.halt().map_err(|_| "wake probe panicked")?
+    }
+
+    fn halt(&mut self) -> std::thread::Result<ProbeResult> {
+        self.stop.store(true, Ordering::Relaxed);
+        match self.thread.take() {
+            Some(t) => t.join(),
+            None => Ok(Ok(Vec::new())),
+        }
+    }
+}
+
+impl Drop for WakeProbe {
+    /// A probe left running when a run fails is stopped and joined; its
+    /// samples are not needed then.
+    fn drop(&mut self) {
+        let _ = self.halt();
+    }
+}
+
+/// Thread CPU time the speed reference takes, fastest of
+/// `REFERENCE_REPS`, on the kind of host this benchmark was built on (see
+/// README.md).
+const REFERENCE_NOMINAL_NS: f64 = 10e6;
+
+/// Repetitions of the speed reference; the fastest counts.
+const REFERENCE_REPS: usize = 3;
 
 /// Factor converting host time measured now into host time on a host
 /// where the speed reference takes `REFERENCE_NOMINAL_NS`: runs the
-/// reference and returns nominal ÷ measured. On shared hosts the speed of
-/// branchy, cache-resident code like the simulator drifts by tens of
-/// percent over minutes while a pure arithmetic loop does not move; the
-/// reference is code of the first kind that no change to this repository
-/// touches.
+/// reference `REFERENCE_REPS` times on this thread's CPU clock and returns
+/// nominal ÷ the fastest. On shared hosts the speed of branchy,
+/// cache-resident code like the simulator drifts by tens of percent over
+/// minutes while a pure arithmetic loop does not move; the reference is
+/// code of the first kind that no change to this repository touches.
 pub fn speed_scale() -> f64 {
-    let t0 = clock::now();
-    let mut map = BTreeMap::new();
-    let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut next = || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
-    };
-    for i in 0..4096u64 {
-        map.insert(next(), i);
-    }
-    for i in 0..200_000u64 {
-        map.insert(next(), i);
-        map.pop_first();
-    }
-    std::hint::black_box(map.len());
-    REFERENCE_NOMINAL_NS / (clock::now() - t0).as_f64()
+    let fastest = (0..REFERENCE_REPS)
+        .map(|_| {
+            let t0 = thread_cpu();
+            let mut map = BTreeMap::new();
+            let mut x: u64 = 0x9e37_79b9_7f4a_7c15;
+            let mut next = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            for i in 0..4096u64 {
+                map.insert(next(), i);
+            }
+            for i in 0..200_000u64 {
+                map.insert(next(), i);
+                map.pop_first();
+            }
+            std::hint::black_box(map.len());
+            (thread_cpu() - t0).as_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    REFERENCE_NOMINAL_NS / fastest
 }

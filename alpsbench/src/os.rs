@@ -24,7 +24,7 @@ use alps_sim::CostModel;
 use crate::host;
 use crate::report::Report;
 use crate::span::{self_times, Recorder};
-use crate::stats::{mean, median, miss_rate, quantile};
+use crate::stats::{mean, median, quantile};
 
 /// One `os-*` workload: groups of busy-loop children and their shares.
 #[derive(Debug, Clone, Copy)]
@@ -59,6 +59,13 @@ const SETUP_REPS: usize = 5;
 /// Quanta run before measuring, so enrollment and the first cycles
 /// (which start from arbitrary `estcpu`-free kernel state) are skipped.
 const WARMUP: Nanos = Nanos::from_millis(1000);
+/// CPU time of one `host::WakeProbe` wake-up in the build host's fast
+/// regime, for a probe of one child or of four (see README.md):
+/// `alps_cpu_us_per_quantum` is the supervisor's cost on a host where the
+/// probe costs this much.
+const PROBE_NOMINAL_NS: f64 = 25e3;
+/// Blocks over which the supervisor's cost is compared with the probe's.
+const BLOCK: Nanos = Nanos::SECOND;
 
 /// Run length and sizing of one invocation.
 #[derive(Debug, Clone, Copy)]
@@ -292,10 +299,25 @@ fn until_cycle_end(
     }
 }
 
+/// One `run_quantum` call of the untraced window.
+struct Call {
+    /// When the call returned.
+    at: Nanos,
+    /// Supervisor thread CPU time inside the call.
+    cpu: f64,
+    /// From the deadline it served to its return.
+    response: f64,
+    /// The part of its quantum that had passed before its wake-up, in
+    /// quanta (at most 1).
+    late: f64,
+}
+
 /// What the untraced supervisor loop measured over its window.
 struct Window {
-    cpu_per_quantum: Vec<f64>,
-    response_ns: Vec<f64>,
+    start: Nanos,
+    calls: Vec<Call>,
+    /// `host::WakeProbe` samples over the window.
+    probe: Vec<(Nanos, Nanos)>,
     wall: Nanos,
     children_cpu: u64,
     log: CycleLog,
@@ -321,16 +343,20 @@ fn untraced_window(
     cad.window_reset();
     let start = clock::now();
     let end = start + window;
-    let mut cpu_per_quantum = Vec::new();
-    let mut response_ns = Vec::new();
+    let probe = host::WakeProbe::start(children.groups[0].pids.clone(), start, QUANTUM);
+    let mut calls = Vec::new();
     loop {
         let c0 = host::thread_cpu();
         let ended = d.step(&mut obs)?;
         let c1 = host::thread_cpu();
         let t = clock::now();
         let served = cad.serviced_at(obs.started);
-        cpu_per_quantum.push((c1 - c0).as_f64());
-        response_ns.push(t.saturating_sub(served).as_f64());
+        calls.push(Call {
+            at: t,
+            cpu: (c1 - c0).as_f64(),
+            response: t.saturating_sub(served).as_f64(),
+            late: (obs.started.saturating_sub(served).as_f64() / QUANTUM.as_f64()).min(1.0),
+        });
         if ended {
             log.cycle_end(children)?;
         }
@@ -339,6 +365,7 @@ fn untraced_window(
         }
     }
     let wall = clock::now() - start;
+    let probe = probe.stop()?;
     let now = children.runtimes()?;
     let children_cpu = now
         .iter()
@@ -346,8 +373,9 @@ fn untraced_window(
         .map(|(a, b)| a.saturating_sub(*b))
         .sum();
     Ok(Window {
-        cpu_per_quantum,
-        response_ns,
+        start,
+        calls,
+        probe,
         wall,
         children_cpu,
         log,
@@ -454,6 +482,52 @@ fn check_ordered(log: &CycleLog, children: &Children) -> Result<(), String> {
     Ok(())
 }
 
+/// The values of `(time, value)` samples, grouped by the whole `BLOCK`s
+/// of the window that starts at `start`; samples after the last whole
+/// block are left out.
+fn by_block(
+    start: Nanos,
+    window: Nanos,
+    samples: impl IntoIterator<Item = (Nanos, f64)>,
+) -> Vec<Vec<f64>> {
+    let mut blocks = vec![Vec::new(); (window.as_nanos() / BLOCK.as_nanos()).max(1) as usize];
+    for (t, v) in samples {
+        let i = (t.saturating_sub(start).as_nanos() / BLOCK.as_nanos()) as usize;
+        if let Some(b) = blocks.get_mut(i) {
+            b.push(v);
+        }
+    }
+    blocks
+}
+
+/// Mean supervisor CPU per quantum at the probe's nominal speed. In each
+/// whole `BLOCK` of the window, the supervisor's mean CPU per quantum is
+/// divided by the probe's mean CPU per wake-up; the result is the mean of
+/// those ratios times `PROBE_NOMINAL_NS`. `NaN` if no block has both.
+fn at_nominal_speed(start: Nanos, window: Nanos, calls: &[Call], probe: &[(Nanos, Nanos)]) -> f64 {
+    let sup = by_block(start, window, calls.iter().map(|c| (c.at, c.cpu)));
+    let probe = by_block(start, window, probe.iter().map(|&(t, c)| (t, c.as_f64())));
+    let ratios: Vec<f64> = sup
+        .iter()
+        .zip(&probe)
+        .filter(|(s, p)| !s.is_empty() && !p.is_empty())
+        .map(|(s, p)| mean(s) / mean(p))
+        .collect();
+    mean(&ratios) * PROBE_NOMINAL_NS
+}
+
+/// Median over the window's whole `BLOCK`s of each block's p95 response
+/// time: a second in which the host stalled the supervisor moves it no
+/// more than any other second.
+fn response_p95(start: Nanos, window: Nanos, calls: &[Call]) -> f64 {
+    let p95: Vec<f64> = by_block(start, window, calls.iter().map(|c| (c.at, c.response)))
+        .iter()
+        .filter(|b| !b.is_empty())
+        .map(|b| quantile(b, 0.95))
+        .collect();
+    median(&p95)
+}
+
 /// The untraced run: every end-to-end metric.
 pub fn run(shape: Shape, plan: Plan) -> Result<Report, String> {
     let mut r = Report::default();
@@ -466,29 +540,39 @@ pub fn run(shape: Shape, plan: Plan) -> Result<Report, String> {
     check_none_stopped(&children.all_pids())?;
     finish(children)?;
 
-    let sup_cpu: f64 = w.cpu_per_quantum.iter().sum();
+    let cpu: Vec<f64> = w.calls.iter().map(|c| c.cpu).collect();
+    let response: Vec<f64> = w.calls.iter().map(|c| c.response).collect();
+    let probe: Vec<f64> = w.probe.iter().map(|&(_, c)| c.as_f64()).collect();
+    let cpu_nominal = at_nominal_speed(w.start, plan.window, &w.calls, &w.probe);
+    let late: f64 = w.calls.iter().map(|c| c.late).sum();
     let due = w.serviced + w.missed;
     r.set(
         "share_err_pct",
         mean_rms_relative_error_pct(&w.log.records, 0),
     );
     r.set("cpu_util", w.children_cpu as f64 / w.wall.as_f64());
-    r.set("alps_cpu_us_per_quantum", median(&w.cpu_per_quantum) / 1e3);
-    r.set("quanta_missed_frac", miss_rate(w.missed, due));
-    r.set("sim_s_per_host_s", w.wall.as_f64() / sup_cpu);
-    r.set("req_p95_ms", quantile(&w.response_ns, 0.95) / 1e6);
+    r.set("alps_cpu_us_per_quantum", cpu_nominal / 1e3);
+    r.set("quanta_missed_frac", (w.missed as f64 + late) / due as f64);
+    r.set("sim_s_per_host_s", QUANTUM.as_f64() / cpu_nominal);
+    r.set(
+        "req_p95_ms",
+        response_p95(w.start, plan.window, &w.calls) / 1e6,
+    );
     r.set("setup_s", setup_s);
+    r.note_num("alps_cpu_us_per_quantum.raw_mean", mean(&cpu) / 1e3);
+    r.note_num("alps_cpu_us_per_quantum.raw_p50", median(&cpu) / 1e3);
     r.note_num(
-        "alps_cpu_us_per_quantum.p99",
-        quantile(&w.cpu_per_quantum, 0.99) / 1e3,
+        "alps_cpu_us_per_quantum.raw_p99",
+        quantile(&cpu, 0.99) / 1e3,
     );
-    r.note_num(
-        "alps_cpu_us_per_quantum.samples",
-        w.cpu_per_quantum.len() as f64,
-    );
+    r.note_num("alps_cpu_us_per_quantum.samples", cpu.len() as f64);
+    r.note_num("req_p95_ms.whole_window", quantile(&response, 0.95) / 1e6);
+    r.note_num("probe.us_per_wake_mean", mean(&probe) / 1e3);
+    r.note_num("probe.samples", probe.len() as f64);
     r.note_num("share_err_pct.cycles", w.log.records.len() as f64);
     r.note_num("quanta.due", due as f64);
-    r.note_num("quanta.missed", w.missed as f64);
+    r.note_num("quanta.skipped", w.missed as f64);
+    r.note_num("quanta.late", late);
     r.attempted = w.serviced;
     Ok(r)
 }
@@ -500,6 +584,8 @@ struct TimedSub {
     rec: Recorder,
     reads: u64,
     read_failed: u64,
+    /// Per-read time of each read call (batch duration ÷ batch size).
+    ns_per_read: Vec<f64>,
     signals: u64,
     signal_failed: u64,
     /// Per-signal time of each batch (batch duration ÷ batch size).
@@ -518,6 +604,34 @@ impl Substrate for TimedSub {
         let s = self.rec.open("read");
         let r = self.inner.read(pid);
         self.rec.close(s);
+        self.ns_per_read.push(self.rec.spans()[s].dur() as f64);
+        self.reads += 1;
+        self.read_failed += u64::from(r.is_err());
+        r
+    }
+
+    fn read_batch(
+        &mut self,
+        members: &[i32],
+        out: &mut Vec<Option<Observation>>,
+    ) -> Result<(), OsError> {
+        let s = self.rec.open("read");
+        let r = self.inner.read_batch(members, out);
+        self.rec.close(s);
+        if !members.is_empty() {
+            let dur = self.rec.spans()[s].dur() as f64;
+            self.ns_per_read.push(dur / members.len() as f64);
+        }
+        self.reads += members.len() as u64;
+        self.read_failed += u64::from(r.is_err());
+        r
+    }
+
+    fn read_exact(&mut self, pid: i32) -> Result<Option<Nanos>, OsError> {
+        let s = self.rec.open("read");
+        let r = self.inner.read_exact(pid);
+        self.rec.close(s);
+        self.ns_per_read.push(self.rec.spans()[s].dur() as f64);
         self.reads += 1;
         self.read_failed += u64::from(r.is_err());
         r
@@ -600,6 +714,7 @@ fn traced_window(shape: Shape, children: &Children, window: Nanos) -> Result<Tra
         rec: cpu_recorder(),
         reads: 0,
         read_failed: 0,
+        ns_per_read: Vec::new(),
         signals: 0,
         signal_failed: 0,
         ns_per_signal: Vec::new(),
@@ -653,7 +768,10 @@ fn traced_window(shape: Shape, children: &Children, window: Nanos) -> Result<Tra
             stats_at_start = Some(engine.stats());
             t.sub.rec = cpu_recorder();
             t.sub.reads = 0;
+            t.sub.read_failed = 0;
+            t.sub.ns_per_read.clear();
             t.sub.signals = 0;
+            t.sub.signal_failed = 0;
             t.sub.ns_per_signal.clear();
         }
         k += 1;
@@ -773,7 +891,7 @@ pub fn run_traced(shape: Shape, plan: Plan) -> Result<Report, String> {
             .collect()
     };
     let paper = CostModel::paper();
-    let read_p50 = median(&durs("read")) / 1e3;
+    let read_p50 = median(&t.sub.ns_per_read) / 1e3;
     let signal_p50 = median(&t.sub.ns_per_signal) / 1e3;
     let wake_cpu = total("wake") / quanta / 1e3;
     let measure = total("read") / quanta / 1e3;
@@ -828,7 +946,8 @@ pub fn run_traced(shape: Shape, plan: Plan) -> Result<Report, String> {
         median(&durs("wake")) / paper.timer_event.as_f64(),
     );
     let traced_cpu = mean(&t.quantum_cpu) / 1e3;
-    let untraced_cpu = mean(&base.cpu_per_quantum) / 1e3;
+    let base_cpu: Vec<f64> = base.calls.iter().map(|c| c.cpu).collect();
+    let untraced_cpu = mean(&base_cpu) / 1e3;
     r.set("trace.quantum_cpu_us", traced_cpu);
     r.set(
         "trace.accounted_us_per_quantum",
@@ -855,6 +974,55 @@ mod tests {
         assert_eq!(sorted, vec![1, 3, 5, 7, 9]);
         assert_eq!(a, permuted(&[1, 3, 5, 7, 9], 1));
         assert!((2..20).any(|s| permuted(&[1, 3, 5, 7, 9], s) != a));
+    }
+
+    fn call(at: Nanos, cpu: f64) -> Call {
+        Call {
+            at,
+            cpu,
+            response: cpu,
+            late: 0.0,
+        }
+    }
+
+    #[test]
+    fn supervisor_cost_is_scaled_per_block_by_the_probe() {
+        let s = Nanos::SECOND;
+        let ms = Nanos::from_millis;
+        // Block 0: supervisor 50, probe 25 (ratio 2); block 1: both three
+        // times slower (ratio 2 again); the partial block 2 is left out.
+        let calls = [
+            call(ms(100), 40e3),
+            call(ms(900), 60e3),
+            call(s + ms(5), 150e3),
+            call(s * 2, 1e9),
+        ];
+        let probe = [(ms(500), Nanos(25_000)), (s + ms(500), Nanos(75_000))];
+        let v = at_nominal_speed(Nanos::ZERO, s * 2, &calls, &probe);
+        assert!((v - 2.0 * PROBE_NOMINAL_NS).abs() < 1e-6, "{v}");
+        assert!(at_nominal_speed(Nanos::ZERO, s, &calls, &[]).is_nan());
+    }
+
+    #[test]
+    fn response_p95_is_the_median_block() {
+        let s = Nanos::SECOND;
+        let calls = [call(Nanos(1), 59e3), call(s, 150e3)];
+        // Per-block p95s are 59e3 and 150e3; their median is the mean.
+        let p95 = response_p95(Nanos::ZERO, s * 2, &calls);
+        assert!((p95 - (59e3 + 150e3) / 2.0).abs() < 1e-6, "{p95}");
+    }
+
+    #[test]
+    fn samples_group_by_whole_block() {
+        let s = Nanos::SECOND;
+        let b = by_block(
+            s,
+            s * 2,
+            [(s, 1.0), (s * 2, 2.0), (s * 3, 3.0), (Nanos::ZERO, 4.0)],
+        );
+        // Samples before `start` count in the first block.
+        assert_eq!(b, vec![vec![1.0, 4.0], vec![2.0]]);
+        assert_eq!(by_block(s, Nanos(1), [(s, 1.0)]), vec![vec![1.0]]);
     }
 
     #[test]

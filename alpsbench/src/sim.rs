@@ -3,9 +3,9 @@
 //! A pass runs fixed simulated work that the seed fully determines. The
 //! benchmark repeats passes until its window is spent, checks that every
 //! pass reproduced the first one exactly, and reports host-time medians
-//! over passes. Host time is taken around each `Sim::run_until` chunk
-//! (the simulator with the engine running inside it) and around each
-//! simulation's construction (set-up).
+//! over passes. Host time, read on the thread's CPU clock, is taken
+//! around each `Sim::run_until` chunk (the simulator with the engine
+//! running inside it) and around each simulation's construction (set-up).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -115,9 +115,9 @@ impl Pass {
         while sim.now() < until && more() {
             let next = (sim.now() + CHUNK).min(until);
             let span = self.rec.as_mut().map(|r| r.open("run_until"));
-            let t0 = clock::now();
+            let t0 = host::thread_cpu();
             self.events += sim.run_until(next);
-            self.run_ns += (clock::now() - t0).0;
+            self.run_ns += (host::thread_cpu() - t0).0;
             if let (Some(r), Some(s)) = (self.rec.as_mut(), span) {
                 r.close(s);
             }
@@ -183,7 +183,7 @@ fn fig4_point(
     seed: u64,
     cycles: u64,
 ) -> Result<(), String> {
-    let t0 = clock::now();
+    let t0 = host::thread_cpu();
     let shares = model.shares(n);
     let mut sim = Sim::new(SimConfig {
         seed,
@@ -197,7 +197,7 @@ fn fig4_point(
         .collect();
     let cfg = AlpsConfig::new(q).with_cycle_log(true);
     let alps = spawn_alps(&mut sim, "alps", cfg, CostModel::paper(), &procs);
-    let setup = (clock::now() - t0).0;
+    let setup = (host::thread_cpu() - t0).0;
     p.setup_ns += setup;
     let run0 = p.run_ns;
 
@@ -252,7 +252,7 @@ fn sites(seed: u64) -> [Site; 3] {
 
 /// One seed of the shared web server under ALPS with per-site principals.
 fn web_seed(p: &mut Pass, seed: u64, window: Nanos) -> Result<(), String> {
-    let t0 = clock::now();
+    let t0 = host::thread_cpu();
     let mut sim = Sim::new(SimConfig {
         seed,
         spawn_estcpu_jitter: 4.0,
@@ -272,7 +272,7 @@ fn web_seed(p: &mut Pass, seed: u64, window: Nanos) -> Result<(), String> {
         &groups,
         Nanos::SECOND,
     );
-    p.setup_ns += (clock::now() - t0).0;
+    p.setup_ns += (host::thread_cpu() - t0).0;
 
     let workers: Vec<Pid> = tenants
         .iter()
@@ -375,7 +375,7 @@ fn passes(
     while runs.len() < min || clock::now() < end {
         let i = runs.len();
         let rec = traced(i).then(|| {
-            let mut r = Recorder::new(|| clock::now().0);
+            let mut r = Recorder::new(|| host::thread_cpu().0);
             r.set_id(i as u64);
             r
         });
